@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full crash-smoke fuzz chaos-smoke
+.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke crash-smoke fuzz chaos-smoke
 
-check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal chaos-smoke crash-smoke
+check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke
 
 vet:
 	$(GO) vet ./...
@@ -86,6 +86,14 @@ bench-wal:
 bench-wal-full:
 	VNFOPT_BENCH_FULL=1 VNFOPT_BENCH_OUT=$(CURDIR)/results/BENCH_wal.json \
 		$(GO) test -run TestBenchWAL -v -timeout 20m ./cmd/vnfoptd/
+
+# End-to-end benchmark self-test (e2ebench/, its own module): every
+# workload at tiny scale against a freshly built vnfoptd, tracing off
+# and on, with the in-process fidelity replay checking the daemon's
+# answers. A daemon change that breaks a workload's fidelity check
+# fails here, before the full benchmark runs.
+bench-e2e-smoke:
+	cd e2ebench && $(GO) test ./...
 
 # Crash-injection matrix under the race detector: kill the filesystem
 # at every I/O boundary of a live workload (both clean and torn-write

@@ -299,6 +299,7 @@ func (s *server) recoverState(ctx context.Context, snapshotPath string) error {
 			// The delete committed after the snapshot was taken; finish it.
 			s.scenarios.Delete(id)
 			sc.actor.Close()
+			sc.metrics.Close()
 			continue
 		}
 		if sc.walGen != "" {
@@ -446,6 +447,7 @@ func (s *server) recoverScenario(ctx context.Context, id string, snapSc *scenari
 			// Finish the delete.
 			s.scenarios.Delete(id)
 			snapSc.actor.Close()
+			snapSc.metrics.Close()
 			return nil
 		default:
 			// An aborted seed (meta durable, create record never landed):

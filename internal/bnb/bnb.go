@@ -128,7 +128,8 @@ type Result struct {
 // Search runs the branch-and-bound described by s. On cancellation it
 // returns the incumbent found so far with Proven == false alongside
 // ctx.Err(); callers are expected to have polled ctx once before calling
-// (the kernel's first poll happens after 1024 expansions).
+// (the sequential kernel's first poll happens after 1024 expansions; a
+// parallel worker also polls each time it claims a subtree task).
 func Search(ctx context.Context, s Spec) (Result, error) {
 	workers := s.Workers
 	if workers < 0 {
@@ -502,6 +503,14 @@ func searchParallel(ctx context.Context, s Spec, workers int) (Result, error) {
 				return nil
 			}
 			if shared.stopBudget.Load() || shared.stopCancel.Load() {
+				return nil
+			}
+			// Poll at every task claim too: a fan-out of many small
+			// subtrees can finish with every worker under the
+			// per-expansion poll cadence, and must still see a
+			// cancellation that arrived mid-search.
+			if ctx.Err() != nil {
+				shared.stopCancel.Store(true)
 				return nil
 			}
 			w.runTask(i, tasks[i])

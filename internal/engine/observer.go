@@ -48,6 +48,8 @@ type Observer struct {
 	faultsHealed    *obs.Counter
 	repairs         *obs.Counter
 	repairFallbacks *obs.Counter
+
+	names []string // every series above, for Close
 }
 
 // NewObserver resolves the engine metric family against r, labelling
@@ -59,34 +61,52 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 	if scenario != "" {
 		l = fmt.Sprintf("{scenario=%q}", scenario)
 	}
-	return &Observer{
-		Registry:        r,
-		Events:          events,
-		epochSeconds:    r.Histogram("vnfopt_engine_epoch_seconds" + l),
-		consultSeconds:  r.Histogram("vnfopt_engine_consult_seconds" + l),
-		improvement:     r.Histogram("vnfopt_engine_improvement" + l),
-		deltaMagnitude:  r.Histogram("vnfopt_cache_delta_magnitude" + l),
-		rebuildSeconds:  r.Histogram("vnfopt_cache_rebuild_seconds" + l),
-		drift:           r.Gauge("vnfopt_engine_drift_ratio" + l),
-		commCost:        r.Gauge("vnfopt_engine_comm_cost" + l),
-		degraded:        r.Gauge("vnfopt_engine_degraded" + l),
-		activeFaults:    r.Gauge("vnfopt_engine_active_faults" + l),
-		unservedFlows:   r.Gauge("vnfopt_engine_unserved_flows" + l),
-		sfcAdmitted:     r.Gauge("vnfopt_sfcroute_admitted" + l),
-		sfcRejected:     r.Gauge("vnfopt_sfcroute_rejected" + l),
-		linkUtilization: r.Gauge("vnfopt_link_utilization" + l),
-		epochs:          r.Counter("vnfopt_engine_epochs_total" + l),
-		updates:         r.Counter("vnfopt_engine_updates_total" + l),
-		coalesced:       r.Counter("vnfopt_engine_updates_coalesced_total" + l),
-		consults:        r.Counter("vnfopt_engine_consults_total" + l),
-		migrations:      r.Counter("vnfopt_engine_migrations_total" + l),
-		moves:           r.Counter("vnfopt_engine_moves_total" + l),
-		rebuilds:        r.Counter("vnfopt_cache_rebuilds_total" + l),
-		deltas:          r.Counter("vnfopt_cache_deltas_total" + l),
-		faultsInjected:  r.Counter("vnfopt_engine_faults_injected_total" + l),
-		faultsHealed:    r.Counter("vnfopt_engine_faults_healed_total" + l),
-		repairs:         r.Counter("vnfopt_engine_repairs_total" + l),
-		repairFallbacks: r.Counter("vnfopt_engine_repair_fallbacks_total" + l),
+	o := &Observer{Registry: r, Events: events}
+	name := func(family string) string {
+		o.names = append(o.names, family+l)
+		return family + l
+	}
+	hist := func(family string) *obs.Histogram { return r.Histogram(name(family)) }
+	gauge := func(family string) *obs.Gauge { return r.Gauge(name(family)) }
+	counter := func(family string) *obs.Counter { return r.Counter(name(family)) }
+	o.epochSeconds = hist("vnfopt_engine_epoch_seconds")
+	o.consultSeconds = hist("vnfopt_engine_consult_seconds")
+	o.improvement = hist("vnfopt_engine_improvement")
+	o.deltaMagnitude = hist("vnfopt_cache_delta_magnitude")
+	o.rebuildSeconds = hist("vnfopt_cache_rebuild_seconds")
+	o.drift = gauge("vnfopt_engine_drift_ratio")
+	o.commCost = gauge("vnfopt_engine_comm_cost")
+	o.degraded = gauge("vnfopt_engine_degraded")
+	o.activeFaults = gauge("vnfopt_engine_active_faults")
+	o.unservedFlows = gauge("vnfopt_engine_unserved_flows")
+	o.sfcAdmitted = gauge("vnfopt_sfcroute_admitted")
+	o.sfcRejected = gauge("vnfopt_sfcroute_rejected")
+	o.linkUtilization = gauge("vnfopt_link_utilization")
+	o.epochs = counter("vnfopt_engine_epochs_total")
+	o.updates = counter("vnfopt_engine_updates_total")
+	o.coalesced = counter("vnfopt_engine_updates_coalesced_total")
+	o.consults = counter("vnfopt_engine_consults_total")
+	o.migrations = counter("vnfopt_engine_migrations_total")
+	o.moves = counter("vnfopt_engine_moves_total")
+	o.rebuilds = counter("vnfopt_cache_rebuilds_total")
+	o.deltas = counter("vnfopt_cache_deltas_total")
+	o.faultsInjected = counter("vnfopt_engine_faults_injected_total")
+	o.faultsHealed = counter("vnfopt_engine_faults_healed_total")
+	o.repairs = counter("vnfopt_engine_repairs_total")
+	o.repairFallbacks = counter("vnfopt_engine_repair_fallbacks_total")
+	return o
+}
+
+// Close unregisters every series NewObserver resolved, so a deleted
+// scenario stops appearing in exposition and a later observer under the
+// same name starts from zero. The handles keep working unexposed, so an
+// engine still holding the observer cannot fault. No-op on nil.
+func (o *Observer) Close() {
+	if o == nil {
+		return
+	}
+	for _, n := range o.names {
+		o.Registry.Remove(n)
 	}
 }
 

@@ -119,6 +119,47 @@ func (c *CSR) ForEachSlot(f func(slot, u, v int, w float64)) {
 	}
 }
 
+// Hash returns a 64-bit FNV-1a digest of the snapshot's full content:
+// order, row offsets, edge targets and the bit patterns of the edge
+// weights. Equal snapshots hash equal; content-addressed caches keyed
+// by it (model's shared fabric APSP) still confirm a hit with Equal.
+func (c *CSR) Hash() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) { h = (h ^ x) * prime }
+	mix(uint64(c.n))
+	for _, r := range c.rowStart {
+		mix(uint64(r))
+	}
+	for _, t := range c.to {
+		mix(uint64(t))
+	}
+	for _, w := range c.wt {
+		mix(math.Float64bits(w))
+	}
+	return h
+}
+
+// Equal reports whether two snapshots have identical content, weights
+// compared bitwise (so 0 and -0 differ, and a NaN equals itself). Equal
+// snapshots drive bit-identical Dijkstra runs.
+func (c *CSR) Equal(o *CSR) bool {
+	if c.n != o.n || len(c.to) != len(o.to) {
+		return false
+	}
+	for i, r := range c.rowStart {
+		if o.rowStart[i] != r {
+			return false
+		}
+	}
+	for i, t := range c.to {
+		if o.to[i] != t || math.Float64bits(o.wt[i]) != math.Float64bits(c.wt[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // WithWeights returns a snapshot sharing this one's structure (rowStart
 // and target arrays) with wt as its weight array; len(wt) must equal
 // NumSlots(). The caller keeps ownership of wt and may rewrite it

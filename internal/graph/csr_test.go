@@ -200,3 +200,40 @@ func TestCSRReweight(t *testing.T) {
 		t.Fatalf("base snapshot mutated: dist[2] = %v, want 5", d[2])
 	}
 }
+
+// TestCSRHashEqual: equal content hashes and compares equal; any change
+// to order, structure or a weight's bits makes the snapshots unequal.
+func TestCSRHashEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := randomConnectedGraph(rng, 20, 15)
+	a, b := g.Freeze(), g.Clone().Freeze()
+	if !a.Equal(b) || a.Hash() != b.Hash() {
+		t.Fatal("snapshots of equal graphs differ")
+	}
+	e := g.Edges()[0]
+	variants := map[string]*Graph{
+		"extra vertex": func() *Graph { h := g.Clone(); h.AddVertex(); return h }(),
+		"extra edge":   func() *Graph { h := g.Clone(); h.AddEdge(0, 19, 1); return h }(),
+		"one ulp": g.CloneMapped(func(u, v int, w float64) (float64, bool) {
+			if (u == e.U && v == e.V) || (u == e.V && v == e.U) {
+				return math.Nextafter(w, math.Inf(1)), true
+			}
+			return w, true
+		}),
+	}
+	for name, h := range variants {
+		c := h.Freeze()
+		if a.Equal(c) || c.Equal(a) {
+			t.Fatalf("%s: snapshots compare equal", name)
+		}
+		if a.Hash() == c.Hash() {
+			t.Fatalf("%s: hashes collide", name)
+		}
+	}
+	zero, negZero := New(2), New(2)
+	zero.AddEdge(0, 1, 0)
+	negZero.AddEdge(0, 1, math.Copysign(0, -1))
+	if zero.Freeze().Equal(negZero.Freeze()) {
+		t.Fatal("weights 0 and -0 compare equal; the key must be bitwise")
+	}
+}

@@ -55,7 +55,10 @@ type PPDC struct {
 	Opts Options
 }
 
-// New builds a PPDC from a topology, computing the APSP cache.
+// New builds a PPDC from a topology. The APSP cache is shared: every
+// PPDC over the same fabric content holds the same immutable matrix,
+// built once by the first New (see fabric.go). Each call still returns
+// a distinct *PPDC holding the caller's topology and options.
 func New(t *topology.Topology, opts Options) (*PPDC, error) {
 	if t == nil {
 		return nil, fmt.Errorf("model: nil topology")
@@ -63,7 +66,10 @@ func New(t *topology.Topology, opts Options) (*PPDC, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	return &PPDC{Topo: t, APSP: graph.AllPairs(t.Graph), Opts: opts}, nil
+	e := sharedAPSP(t.Graph)
+	d := &PPDC{Topo: t, APSP: e.apsp, Opts: opts}
+	e.track(d)
+	return d, nil
 }
 
 // MustNew is New but panics on error; for tests and examples with

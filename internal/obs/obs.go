@@ -204,6 +204,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return r.lookup(name, kindHistogram, func(e *entry) { e.h = NewHistogram() }).h
 }
 
+// Remove unregisters the metric under name, whatever its kind; a later
+// lookup of the same name creates a fresh, zeroed handle. Handles
+// already resolved keep working but are no longer exposed. No-op on a
+// nil registry or an unknown name.
+func (r *Registry) Remove(name string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	delete(r.metrics, name)
+	r.mu.Unlock()
+}
+
 // snapshot returns the registered entries sorted by full name.
 func (r *Registry) snapshot() []*entry {
 	r.mu.RLock()

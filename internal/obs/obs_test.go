@@ -80,6 +80,34 @@ func TestRegistryIdentityAndKinds(t *testing.T) {
 	}()
 }
 
+func TestRegistryRemove(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter(`ops_total{scenario="a"}`)
+	c.Add(3)
+	r.Histogram(`lat_seconds{scenario="a"}`).Observe(1)
+	keep := r.Counter(`ops_total{scenario="b"}`)
+	keep.Inc()
+	r.Remove(`ops_total{scenario="a"}`)
+	r.Remove(`lat_seconds{scenario="a"}`)
+	r.Remove("never_registered")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, `scenario="a"`) || !strings.Contains(out, `ops_total{scenario="b"} 1`) {
+		t.Fatalf("exposition after Remove:\n%s", out)
+	}
+	c.Inc() // a resolved handle keeps working, unexposed
+	if fresh := r.Counter(`ops_total{scenario="a"}`); fresh == c || fresh.Value() != 0 {
+		t.Fatal("re-registering a removed name did not start a fresh counter")
+	}
+	// The name is free for another kind once removed.
+	r.Remove(`lat_seconds{scenario="a"}`)
+	r.Gauge(`lat_seconds{scenario="a"}`).Set(2)
+	var nilReg *Registry
+	nilReg.Remove("x")
+}
+
 func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	v := 1.5

@@ -1,6 +1,7 @@
 package sfcroute
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -347,5 +348,68 @@ func TestSaturatedReport(t *testing.T) {
 	}
 	if hot := r.Saturated(0.5); len(hot) != 0 {
 		t.Fatalf("Saturated(0.5) = %d links, want 0 (strictly above)", len(hot))
+	}
+}
+
+// TestAdmitTieBreakIsDeterministic: when two links of the walk overflow
+// by the same excess, Admit blocks the lower link index, never the one
+// map iteration happens to visit first. The fabric is h0 - s1 - h2 with
+// three candidate sites for a one-VNF chain:
+//
+//	s1 - s3 - s4   (tight links, the cheapest site s4)
+//	     s3 - s5   (weight 1.25)
+//	s1 - s6        (weight 3)
+//
+// Reaching s4 crosses (1,3) and (3,4) twice each, so both overflow by
+// the same amount. Blocking (1,3), the lower index, admits over s6;
+// blocking (3,4) would pick s5, overflow (1,3) again and, with one
+// reroute allowed, reject.
+func TestAdmitTieBreakIsDeterministic(t *testing.T) {
+	g := graph.New(7)
+	for _, e := range []graph.EdgeRecord{
+		{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}, {U: 1, V: 3, Weight: 1},
+		{U: 3, V: 4, Weight: 1}, {U: 3, V: 5, Weight: 1.25}, {U: 1, V: 6, Weight: 3},
+	} {
+		g.AddEdge(e.U, e.V, e.Weight)
+	}
+	topo := &topology.Topology{
+		Name: "tie", Graph: g,
+		Hosts: []int{0, 2}, Switches: []int{1, 3, 4, 5, 6},
+		Kind:   []topology.NodeKind{topology.Host, topology.Switch, topology.Host, topology.Switch, topology.Switch, topology.Switch, topology.Switch},
+		Labels: make([]string, 7),
+	}
+	d := model.MustNew(topo, model.Options{})
+	tight := map[routing.Link]bool{{U: 1, V: 3}: true, {U: 3, V: 4}: true}
+	capOf := func(l routing.Link) float64 {
+		if tight[l] {
+			return 6
+		}
+		return 100
+	}
+	var first Decision
+	var firstLoads map[routing.Link]float64
+	for rep := 0; rep < 100; rep++ {
+		r, err := NewRouter(d, Config{CapOf: capOf, MaxReroutes: 1})
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		if err := r.BeginEpoch([][]int{{4, 5, 6}}); err != nil {
+			t.Fatalf("BeginEpoch: %v", err)
+		}
+		dec, err := r.Admit(0, 2, 4)
+		if err != nil {
+			t.Fatalf("Admit: %v", err)
+		}
+		loads := r.Loads()
+		if rep == 0 {
+			if !dec.Admitted || dec.Reroutes != 1 || fmt.Sprint(dec.Walk) != "[0 1 6 1 2]" {
+				t.Fatalf("want admission over s6 after blocking link (1,3), got %+v", dec)
+			}
+			first, firstLoads = dec, loads
+			continue
+		}
+		if fmt.Sprint(dec) != fmt.Sprint(first) || fmt.Sprint(loads) != fmt.Sprint(firstLoads) {
+			t.Fatalf("repetition %d: decision %+v loads %v, first run %+v loads %v", rep, dec, loads, first, firstLoads)
+		}
 	}
 }

@@ -188,8 +188,12 @@ func TestActorSubmitCtxCancel(t *testing.T) {
 	a := NewActor(1)
 	gate := make(chan struct{})
 	defer close(gate)
-	_ = a.Submit(func() { <-gate })
-	// Fill the one queue slot (the gated command may be executing).
+	running := make(chan struct{})
+	_ = a.Submit(func() { close(running); <-gate })
+	// Wait until the gated command holds the run loop, then fill the one
+	// queue slot: filling first would let the run loop dequeue the gated
+	// command afterwards and free the slot for SubmitCtx.
+	<-running
 	for a.Submit(func() {}) == nil {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
