@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke crash-smoke fuzz chaos-smoke
+.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-top bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke crash-smoke fuzz chaos-smoke
 
-check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke
+check: vet fmt build race bench-smoke bench-solver bench-top bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,15 @@ bench-smoke:
 # (results/BENCH_solver.json records the full numbers).
 bench-solver:
 	$(GO) test -run TestSolverParallelMatchesSequential -bench BenchmarkSolver -benchtime 1x -benchmem .
+
+# Bitwise assert plus one-iteration smoke of Algorithm 3 on the shared
+# stroll tables: DP.Place must match the fresh-table oracle (fresh
+# closure copy and a fresh Algorithm 2 table per egress) on every fixture
+# and on the fault package's literal PPDCs, before the k=16 cold- and
+# warm-table benches run once. Proof that the path runs, not a timing
+# gate.
+bench-top:
+	$(GO) test -run 'TestDPSharedTablesMatchFresh|TestDPSharedTablesFaultLiterals' -bench BenchmarkDPPlace -benchtime 1x ./internal/placement/
 
 # Bitwise assert plus one-iteration smoke of the incremental fault-event
 # APSP path against the full rebuild: every event class (link, switch,
@@ -121,11 +130,12 @@ bench-kernels:
 	$(GO) test -bench 'BenchmarkAPSPFatTree|BenchmarkCommCostAggregated' -benchmem -run xxx .
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 
-# Short fuzz pass over the solver-invariant web and the cost-kernel
-# equivalence property.
+# Short fuzz pass over the solver-invariant web, the cost-kernel
+# equivalence property and the stroll-table reuse property.
 fuzz:
 	$(GO) test -fuzz FuzzCostCacheEquivalence -fuzztime 30s -run xxx ./internal/differential/
 	$(GO) test -fuzz FuzzDifferential -fuzztime 30s -run xxx ./internal/differential/
+	$(GO) test -fuzz FuzzDPTableReuse -fuzztime 30s -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzFaultHealRoundTrip -fuzztime 30s -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzIncrementalAPSP -fuzztime 30s -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime 30s -run xxx ./internal/fault/

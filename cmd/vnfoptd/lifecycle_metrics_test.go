@@ -90,3 +90,24 @@ func TestFabricCacheMetrics(t *testing.T) {
 		t.Fatalf("fabric cache entries %v, want at least 1", after["vnfopt_fabric_cache_entries"])
 	}
 }
+
+// TestStrollTableMetrics: on a fresh daemon, one create over a fabric
+// no other test builds and one step move both stroll-table counters.
+func TestStrollTableMetrics(t *testing.T) {
+	ts := httptest.NewServer(newServer().handler())
+	defer ts.Close()
+	spec := ScenarioSpec{ID: "st", Topology: "leaf-spine", Leaves: 9, Spines: 2, HostsPerLeaf: 3, Flows: 8, SFCLen: 4}
+	before := promSnapshot(t, ts)
+	if code := do(t, ts, "POST", "/v1/scenarios", spec, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	if code := do(t, ts, "POST", "/v1/scenarios/st/step", nil, nil); code != http.StatusOK {
+		t.Fatalf("step: %d", code)
+	}
+	after := promSnapshot(t, ts)
+	for _, name := range []string{"vnfopt_stroll_tables_built_total", "vnfopt_stroll_queries_total"} {
+		if after[name] <= before[name] {
+			t.Fatalf("%s %v -> %v over one create and one step, want it to grow", name, before[name], after[name])
+		}
+	}
+}

@@ -1,11 +1,14 @@
 package model
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"vnfopt/internal/graph"
+	"vnfopt/internal/stroll"
 )
 
 // The shared fabric layer. The cost oracle c(u,v) depends only on the
@@ -27,16 +30,23 @@ import (
 // collected the entry leaves the cache, and the matrix lives on only
 // while a fault view still shares its rows. Sharing is safe because an
 // APSP has no mutators: the delta paths return new matrices.
+//
+// The switch closure G'' and its Algorithm 2 tables are fabric data
+// too: they depend on the APSP and the switch list, never on traffic.
+// Each entry holds one closure set, so every TOP over the same fabric
+// and switch list reuses one closure and one set of stroll tables.
 
-// fabricEntry is one cached fabric: its private CSR key and the APSP
-// built from it. ready is closed once apsp is set, or once a failed
-// build has taken the entry out of the cache (apsp stays nil).
+// fabricEntry is one cached fabric: its private CSR key, the APSP built
+// from it and the switch closures over that APSP. ready is closed once
+// apsp is set, or once a failed build has taken the entry out of the
+// cache (apsp stays nil).
 type fabricEntry struct {
-	hash  uint64
-	csr   *graph.CSR
-	apsp  *graph.APSP
-	ready chan struct{}
-	refs  int // PPDCs built from this entry; guarded by fabrics.mu
+	hash     uint64
+	csr      *graph.CSR
+	apsp     *graph.APSP
+	closures *closureSet
+	ready    chan struct{}
+	refs     int // PPDCs built from this entry; guarded by fabrics.mu
 }
 
 var fabrics = struct {
@@ -105,11 +115,15 @@ func buildFabric(e *fabricEntry) {
 		}
 		close(e.ready)
 	}()
-	e.apsp = graph.AllPairsCSR(e.csr, 0)
+	apsp := graph.AllPairsCSR(e.csr, 0)
+	e.closures = &closureSet{apsp: apsp}
+	e.apsp = apsp
 }
 
-// track gives d's reference back to e when d is collected.
+// track hands d the entry's closure set and gives d's reference back
+// to e when d is collected.
 func (e *fabricEntry) track(d *PPDC) {
+	d.closures.Store(e.closures)
 	runtime.SetFinalizer(d, func(*PPDC) { e.release() })
 }
 
@@ -137,5 +151,84 @@ func dropFabric(e *fabricEntry) {
 		delete(fabrics.buckets, e.hash)
 	} else {
 		fabrics.buckets[e.hash] = b
+	}
+}
+
+// SwitchClosure is the metric closure G” over one switch list — the
+// complete graph the stroll solvers run on — with its minimum
+// off-diagonal edge and the Algorithm 2 tables toward every egress.
+// All of it is read-only and shared by every PPDC over the same APSP
+// and switch list.
+type SwitchClosure struct {
+	// Switches maps a closure index to its graph vertex.
+	Switches []int
+	// MinEdge is the smallest off-diagonal closure cost.
+	MinEdge float64
+	// Tables answers stroll queries over the closure.
+	Tables *stroll.Tables
+
+	// cost[i][j] = c(Switches[i], Switches[j]). When the switch list is
+	// one increasing run of vertex ids, the rows are sub-slices of the
+	// APSP rows; otherwise they are one copy per closure.
+	cost [][]float64
+}
+
+// closureSet holds the switch closures over one APSP, one per distinct
+// switch list (matched by equality, not identity).
+type closureSet struct {
+	apsp *graph.APSP
+	mu   sync.Mutex
+	list []*SwitchClosure
+}
+
+// get returns the closure over switches, building it on first use.
+func (cs *closureSet) get(switches []int) *SwitchClosure {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for _, c := range cs.list {
+		if slices.Equal(c.Switches, switches) {
+			return c
+		}
+	}
+	c := newSwitchClosure(cs.apsp, slices.Clone(switches))
+	cs.list = append(cs.list, c)
+	return c
+}
+
+func newSwitchClosure(a *graph.APSP, sw []int) *SwitchClosure {
+	var cost [][]float64
+	if len(sw) > 0 && sw[len(sw)-1]-sw[0] == len(sw)-1 && slices.IsSorted(sw) {
+		// Sorted with no gaps and no duplicates: alias the APSP rows.
+		lo, hi := sw[0], sw[0]+len(sw)
+		cost = make([][]float64, len(sw))
+		for i, u := range sw {
+			cost[i] = a.Row(u)[lo:hi:hi]
+		}
+	} else {
+		cost = a.CostMatrix(sw)
+	}
+	minEdge := math.Inf(1)
+	for i := range cost {
+		for j, c := range cost[i] {
+			if i != j && c < minEdge {
+				minEdge = c
+			}
+		}
+	}
+	return &SwitchClosure{Switches: sw, MinEdge: minEdge, Tables: stroll.NewTables(cost), cost: cost}
+}
+
+// SwitchClosure returns the closure over d's switches. A PPDC from New
+// uses its fabric entry's closure set; one built as a struct literal
+// (the fault package's degraded views and service plans) gets a private
+// set on first use, as does any PPDC whose APSP no longer matches the
+// set it holds.
+func (d *PPDC) SwitchClosure() *SwitchClosure {
+	for {
+		cs := d.closures.Load()
+		if cs != nil && cs.apsp == d.APSP {
+			return cs.get(d.Topo.Switches)
+		}
+		d.closures.CompareAndSwap(cs, &closureSet{apsp: d.APSP})
 	}
 }

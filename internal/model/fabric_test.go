@@ -180,3 +180,61 @@ func TestFabricCacheEvictsUnreachable(t *testing.T) {
 	_, _, entries = FabricCacheStats()
 	t.Fatalf("%d fabric entries still cached after every PPDC was dropped", entries)
 }
+
+// TestSwitchClosureAliasing: a switch list that is one increasing run
+// of vertex ids reads its closure straight from the APSP rows; any other
+// list gets a copy. Either way the closure is bitwise CostMatrix, and
+// MinEdge is its smallest off-diagonal entry.
+func TestSwitchClosureAliasing(t *testing.T) {
+	d := MustNew(topology.MustFatTree(4, topology.PaperDelay(rand.New(rand.NewSource(5)))), Options{})
+	sw := d.Topo.Switches
+	gappy := append(append([]int(nil), sw[:3]...), sw[5:]...)
+	reversed := make([]int, len(sw))
+	for i, v := range sw {
+		reversed[len(sw)-1-i] = v
+	}
+	for name, c := range map[string]struct {
+		switches []int
+		aliased  bool
+	}{"contiguous": {sw, true}, "gap": {gappy, false}, "reversed": {reversed, false}} {
+		t.Run(name, func(t *testing.T) {
+			lit := &PPDC{Topo: &topology.Topology{Graph: d.Topo.Graph, Switches: c.switches}, APSP: d.APSP}
+			cl := lit.SwitchClosure()
+			want := d.APSP.CostMatrix(c.switches)
+			minEdge := math.Inf(1)
+			for i := range want {
+				for j := range want[i] {
+					if math.Float64bits(cl.cost[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("closure[%d][%d] = %v, CostMatrix %v", i, j, cl.cost[i][j], want[i][j])
+					}
+					if i != j {
+						minEdge = math.Min(minEdge, want[i][j])
+					}
+				}
+			}
+			if cl.MinEdge != minEdge {
+				t.Fatalf("MinEdge %v, want %v", cl.MinEdge, minEdge)
+			}
+			if aliased := &cl.cost[0][0] == &d.APSP.Row(c.switches[0])[c.switches[0]]; aliased != c.aliased {
+				t.Fatalf("closure aliases the APSP rows: %v, want %v", aliased, c.aliased)
+			}
+		})
+	}
+}
+
+// TestSwitchClosureOwnership: a struct literal over a New PPDC's APSP
+// and switches keeps a private closure, and a PPDC whose APSP was
+// swapped after its first use gets a new one.
+func TestSwitchClosureOwnership(t *testing.T) {
+	topo := topology.MustFatTree(4, nil)
+	d := MustNew(topo, Options{})
+	lit := &PPDC{Topo: topo, APSP: d.APSP}
+	cl := lit.SwitchClosure()
+	if cl == d.SwitchClosure() || cl != lit.SwitchClosure() {
+		t.Fatal("a literal PPDC must keep one private closure")
+	}
+	lit.APSP = graph.AllPairsSequential(topo.Graph)
+	if lit.SwitchClosure() == cl {
+		t.Fatal("a PPDC with a new APSP kept the closure of the old one")
+	}
+}

@@ -7,6 +7,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"vnfopt/internal/graph"
 	"vnfopt/internal/topology"
@@ -53,6 +54,8 @@ type PPDC struct {
 	APSP *graph.APSP
 	// Opts holds model options.
 	Opts Options
+
+	closures atomic.Pointer[closureSet] // see SwitchClosure
 }
 
 // New builds a PPDC from a topology. The APSP cache is shared: every

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"vnfopt/internal/model"
-	"vnfopt/internal/stroll"
 )
 
 // DP is the paper's Algorithm 3: for every ordered (ingress, egress)
@@ -16,7 +15,11 @@ import (
 //	C_a = ingress[p(1)] + Λ·stroll(p(1), p(n), n−2) + egress[p(n)].
 //
 // One DP table per egress switch serves all ingress switches, so the whole
-// sweep costs O(n·|V_s|³) rather than the naive O(n·|V_s|⁴).
+// sweep costs O(n·|V_s|³) rather than the naive O(n·|V_s|⁴). The tables
+// depend only on the switch closure, never on the rates, so they are
+// fabric data: every Place over the same fabric reuses the closure's
+// shared tables (model.PPDC.SwitchClosure) and pays only for layers no
+// earlier query needed.
 //
 // DP follows the paper's distinct-switch model: even when the PPDC allows
 // colocation it only produces all-distinct placements (and so needs
@@ -46,8 +49,8 @@ func (a DP) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placeme
 		return p, c, nil
 	}
 
-	si := newSwitchIndex(d)
-	cost := switchCosts(d)
+	cl := d.SwitchClosure()
+	sw := cl.Switches
 	lambda := w.TotalRate()
 
 	// Seed the incumbent with Steering so the bound-based pruning below
@@ -61,65 +64,53 @@ func (a DP) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placeme
 	// Admissible lower bounds for pruning whole egress/ingress branches:
 	// any n-VNF chain costs at least Λ·(n−1)·minEdge, and any placement
 	// pays at least the cheapest ingress.
-	minEdge := math.Inf(1)
-	for i := range cost {
-		for j := range cost[i] {
-			if i != j && cost[i][j] < minEdge {
-				minEdge = cost[i][j]
-			}
-		}
-	}
 	minIn := math.Inf(1)
-	for _, v := range si.vertices {
+	for _, v := range sw {
 		if in[v] < minIn {
 			minIn = in[v]
 		}
 	}
-	chainLB := lambda * float64(n-1) * minEdge
+	chainLB := lambda * float64(n-1) * cl.MinEdge
 
 	// Visit egress switches cheapest-first; once the bound exceeds the
 	// incumbent every later egress is prunable too.
-	egOrder := make([]int, len(si.vertices))
+	egOrder := make([]int, len(sw))
 	for i := range egOrder {
 		egOrder[i] = i
 	}
 	sort.Slice(egOrder, func(x, y int) bool {
-		return eg[si.vertices[egOrder[x]]] < eg[si.vertices[egOrder[y]]]
+		return eg[sw[egOrder[x]]] < eg[sw[egOrder[y]]]
 	})
-	inOrder := make([]int, len(si.vertices))
+	inOrder := make([]int, len(sw))
 	copy(inOrder, egOrder)
 	sort.Slice(inOrder, func(x, y int) bool {
-		return in[si.vertices[inOrder[x]]] < in[si.vertices[inOrder[y]]]
+		return in[sw[inOrder[x]]] < in[sw[inOrder[y]]]
 	})
 
 	for _, tj := range egOrder {
-		egT := eg[si.vertices[tj]]
+		egT := eg[sw[tj]]
 		if egT+minIn+chainLB >= bestCost {
 			break // sorted: no later egress can win either
 		}
-		var tb *stroll.DPTable
 		for _, sj := range inOrder {
 			if sj == tj {
 				continue
 			}
-			if in[si.vertices[sj]]+egT+chainLB >= bestCost {
+			if in[sw[sj]]+egT+chainLB >= bestCost {
 				break // sorted: no later ingress can win for this egress
 			}
-			if tb == nil {
-				tb = stroll.NewDPTable(cost, tj)
-			}
-			res, err := tb.Stroll(sj, n-2, a.MaxEdges)
+			res, err := cl.Tables.Stroll(sj, tj, n-2, a.MaxEdges)
 			if err != nil {
 				return nil, 0, err
 			}
-			cand := in[si.vertices[sj]] + egT + lambda*res.Cost
+			cand := in[sw[sj]] + egT + lambda*res.Cost
 			if cand < bestCost {
 				p := make(model.Placement, 0, n)
-				p = append(p, si.vertices[sj])
+				p = append(p, sw[sj])
 				for _, v := range res.Visited {
-					p = append(p, si.vertices[v])
+					p = append(p, sw[v])
 				}
-				p = append(p, si.vertices[tj])
+				p = append(p, sw[tj])
 				bestCost = cand
 				best = p
 			}

@@ -59,28 +59,6 @@ func checkInputs(d *model.PPDC, w model.Workload, sfc model.SFC) error {
 	return nil
 }
 
-// switchIndex maps graph vertex IDs of switches to their dense closure
-// index and back.
-type switchIndex struct {
-	vertices []int       // closure index -> graph vertex
-	index    map[int]int // graph vertex -> closure index
-}
-
-func newSwitchIndex(d *model.PPDC) switchIndex {
-	sw := d.Topo.Switches
-	idx := make(map[int]int, len(sw))
-	for i, v := range sw {
-		idx[v] = i
-	}
-	return switchIndex{vertices: sw, index: idx}
-}
-
-// switchCosts returns the dense |V_s|×|V_s| shortest-path cost matrix over
-// switches — the metric closure the stroll solvers take as input.
-func switchCosts(d *model.PPDC) [][]float64 {
-	return d.APSP.CostMatrix(d.Topo.Switches)
-}
-
 // endpointArrays restricts the aggregated workload cache's endpoint
 // vectors to just what the solvers index (full vertex arrays; switch
 // lookups go through the vertex id directly). The aggregated build costs

@@ -1,7 +1,9 @@
 package stroll
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -66,6 +68,38 @@ func FuzzDPAgainstExhaustive(f *testing.F) {
 		// would indicate a regression rather than the heuristic's nature.
 		if dp.Cost > 6*opt.Cost+1e-9 {
 			t.Fatalf("dp %v exceeds 6x optimum %v (nv=%d n=%d seed=%d)", dp.Cost, opt.Cost, nv, n, seed)
+		}
+	})
+}
+
+// FuzzDPTableReuse pins the order independence the shared Tables rely
+// on: one table per target answers a random sequence of (s, n,
+// maxEdges) queries, and every answer — Repaired walks and errors
+// included — equals a fresh table's answer to the same query.
+// Run with `go test -fuzz=FuzzDPTableReuse ./internal/stroll`.
+func FuzzDPTableReuse(f *testing.F) {
+	f.Add(int64(1), uint8(6), []byte{0, 5, 2, 1, 5, 7, 3, 4, 1})
+	f.Add(int64(42), uint8(9), []byte{2, 0, 40, 7, 0, 3, 2, 0, 255, 1, 1, 9})
+	f.Add(int64(-7), uint8(3), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, seed int64, nvRaw uint8, queries []byte) {
+		nv := 3 + int(nvRaw)%10 // 3..12 vertices
+		cost := randomMetricInstance(rand.New(rand.NewSource(seed)), nv, 0).Cost
+		ts := NewTables(cost)
+		for q := 0; q+2 < len(queries) && q < 3*64; q += 3 {
+			s, tgt := int(queries[q])%nv, int(queries[q+1])%nv
+			if s == tgt {
+				continue
+			}
+			n := int(queries[q+2]) % (nv - 1) // up to nv-2, the most intermediates there are
+			maxEdges := int(queries[q+2]>>4) % (n + 6)
+			got, err := ts.Stroll(s, tgt, n, maxEdges)
+			want, werr := NewDPTable(cost, tgt).Stroll(s, n, maxEdges)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("query %d (s=%d t=%d n=%d maxEdges=%d): reused table error %v, fresh %v", q/3, s, tgt, n, maxEdges, err, werr)
+			}
+			if !reflect.DeepEqual(got, want) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Fatalf("query %d (s=%d t=%d n=%d maxEdges=%d): reused table %+v, fresh %+v", q/3, s, tgt, n, maxEdges, got, want)
+			}
 		}
 	})
 }
